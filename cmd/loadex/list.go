@@ -82,7 +82,7 @@ func runList(args []string) error {
 
 	fmt.Fprintln(w, "runtimes (-runtime; \"all\" sweeps them):")
 	fmt.Fprintln(w, "  sim \tdeterministic discrete-event simulator")
-	fmt.Fprintln(w, "  live\tgoroutines + channels (race-detector friendly)")
+	fmt.Fprintln(w, "  live\tnet nodes over in-memory links (race-detector friendly)")
 	fmt.Fprintln(w, "  net \tlocalhost TCP (forked processes; -inproc: in-process)")
 	fmt.Fprintln(w)
 

@@ -9,9 +9,9 @@ package main
 //	loadex run -scenario all -mech all -runtime all
 //
 // Each cell prints one row of message/selection statistics. The sim
-// runtime is the deterministic discrete-event simulator, live is
-// goroutines+channels, net is localhost TCP (forked OS processes by
-// default, -inproc for goroutine-hosted sockets).
+// runtime is the deterministic discrete-event simulator, live is the
+// net nodes linked in memory, net is localhost TCP (forked OS processes
+// by default, -inproc for goroutine-hosted sockets).
 
 import (
 	"flag"
@@ -25,7 +25,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/live"
 	xnet "repro/internal/net"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -128,7 +127,7 @@ func isRuntime(name string) bool {
 
 // runCell executes one scenario × mechanism × runtime cell, wiring the
 // cell's chaos plan into whichever fault layer the runtime carries (the
-// simulated network, the live host, the TCP fault writer) and — when
+// simulated network, the in-process nodes' fault writers) and — when
 // tracing — recording the run for `loadex validate`.
 func runCell(scenario string, mech core.Mech, rt string, inproc bool, p *nodeParams) (*workload.Report, error) {
 	w, err := workload.Get(scenario)
@@ -138,16 +137,15 @@ func runCell(scenario string, mech core.Mech, rt string, inproc bool, p *nodePar
 	plan := p.chaosPlan()
 	isApp := workload.IsAppScenario(scenario)
 	params := p.params()
-	drive := p.driveOptions()
 
 	// Recording surface per cell kind: application scenarios trace
 	// through the workload.Recorded wrapper on every runtime; program
-	// scenarios only on the net runtime (its transport carries the
-	// hooks). Program cells on sim/live have no trace hooks — recording
-	// just finals there would be indistinguishable from a run that lost
-	// every event, so they stay untraced.
+	// scenarios only on in-process nodes (their transport carries the
+	// hooks). Program cells on sim have no trace hooks — recording just
+	// finals there would be indistinguishable from a run that lost every
+	// event, so they stay untraced. Forked cells record per process.
 	var rec *chaos.Recorder
-	if p.traceDir != "" && (isApp || rt == "net") && !(rt == "net" && !inproc) {
+	if p.traceDir != "" && (isApp || rt != "sim") && !(rt == "net" && !inproc) {
 		q := *p
 		q.traceDir = filepath.Join(p.traceDir, cellDirName(scenario, string(mech), rt, p.term))
 		rec, err = q.openInProcRecorder()
@@ -164,35 +162,33 @@ func runCell(scenario string, mech core.Mech, rt string, inproc bool, p *nodePar
 		d := sim.NewWorkloadDriver()
 		d.Network.Chaos = plan
 		return d.Run(w, mech, p.config(), params)
-	case "live":
-		if plan != nil && !isApp {
-			return nil, fmt.Errorf("chaos plans only apply to application scenarios on the live runtime (program cells: use sim or net)")
+	case "live", "net":
+		if rt == "net" && !inproc {
+			// Forked: one OS process per rank — program scenarios walk
+			// their compiled programs, application scenarios host one
+			// rank of the app each with detector-driven quiescence.
+			return runCellForked(scenario, mech, p)
 		}
-		d := live.Driver{Drive: drive}
-		d.App.Chaos = plan
-		return d.Run(w, mech, p.config(), params)
-	case "net":
-		if inproc {
-			codec, err := xnet.NewCodec(p.codec)
-			if err != nil {
-				return nil, err
-			}
-			opts := xnet.Options{Codec: codec, Chaos: plan}
-			if !isApp {
-				opts.Rec = rec
-			}
-			rep, err := xnet.Driver{Opts: opts, Drive: drive}.Run(w, mech, p.config(), params)
-			if err == nil && !isApp {
-				for r, ex := range rep.Executed {
-					rec.Record(chaos.Event{Ev: chaos.EvFinal, Rank: r, Executed: ex})
-				}
-			}
-			return rep, err
+		codec, err := xnet.NewCodec(p.codec)
+		if err != nil {
+			return nil, err
 		}
-		// Forked: one OS process per rank — program scenarios walk their
-		// compiled programs, application scenarios host one rank of the
-		// app each with detector-driven quiescence.
-		return runCellForked(scenario, mech, p)
+		opts := xnet.Options{Codec: codec, Chaos: plan}
+		if !isApp {
+			opts.Rec = rec
+		}
+		d := xnet.NewDriver(opts)
+		if rt == "live" {
+			d = xnet.NewLiveDriver(opts)
+		}
+		d.Drive = p.driveOptions()
+		rep, err := d.Run(w, mech, p.config(), params)
+		if err == nil && !isApp {
+			for r, ex := range rep.Executed {
+				rec.Record(chaos.Event{Ev: chaos.EvFinal, Rank: r, Executed: ex})
+			}
+		}
+		return rep, err
 	}
 	return nil, fmt.Errorf("unknown runtime %q", rt)
 }

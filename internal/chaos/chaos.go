@@ -4,9 +4,8 @@
 // per-message delay jitter, per-link reordering, probabilistic loss, a
 // slow rank, a rank that crashes at a given time. The same Plan drives
 // every runtime — the simulator applies it inside sim.Network.Send (in
-// virtual time), the TCP runtime applies it through a fault writer
-// wrapped around each peer connection (in wall time), and the live
-// runtime applies it at the in-process delivery seam. Plans are
+// virtual time), and the live and TCP runtimes apply it through a fault
+// writer wrapped around each peer link (in wall time). Plans are
 // selected by name from a small registry (`loadex run/cluster/
 // experiment -chaos <name>`).
 //
@@ -90,8 +89,7 @@ type Plan struct {
 	// CrashRank (when ≥ 0 with CrashAfter > 0) fails that rank
 	// CrashAfter seconds into the run: the simulator drops all its
 	// traffic from then on, a forked `loadex node` process exits, the
-	// TCP fault writer severs its connections, the live host stops
-	// delivering to and from it.
+	// fault writer severs its links.
 	CrashRank  int
 	CrashAfter float64
 }

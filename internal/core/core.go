@@ -18,7 +18,7 @@
 // Mechanisms are transport-agnostic state machines: they interact with
 // the world only through the Context interface and never block, so the
 // same code runs under the deterministic simulator (internal/sim) and the
-// live goroutine runtime (internal/live).
+// concurrent node runtime (internal/net, over in-memory or TCP links).
 package core
 
 import "fmt"
@@ -141,7 +141,7 @@ func KindName(kind int) string {
 }
 
 // On-wire sizes in bytes of the state-channel messages, used for
-// bandwidth accounting everywhere a real wire is absent (sim, live) and
+// bandwidth accounting everywhere a real wire is absent (sim) and
 // checked against the real wire where one exists. Each constant is the
 // exact frame-body length produced by internal/net's BinaryCodec — the
 // reference encoding — for that kind; the TCP transport adds a 4-byte

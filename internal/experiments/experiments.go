@@ -14,7 +14,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/live"
 	"repro/internal/mapping"
 	xnet "repro/internal/net"
 	"repro/internal/sched"
@@ -140,7 +139,9 @@ func AppRunnerFor(runtime string, timeScale float64) (workload.AppRunner, error)
 	case "", "sim":
 		return &sim.AppRunner{}, nil
 	case "live":
-		return &live.AppRunner{TimeScale: timeScale}, nil
+		r := xnet.NewLiveAppRunner(xnet.Options{})
+		r.TimeScale = timeScale
+		return r, nil
 	case "net":
 		return &xnet.AppRunner{TimeScale: timeScale}, nil
 	}

@@ -25,8 +25,7 @@ import (
 // application-scenario cells — program scenarios quiesce through their
 // own Done announcements, so a protocol axis would just repeat
 // identical runs. Chaos names the fault-injection plan (empty or
-// "none" = fault-free); the live runtime only supports it for
-// application scenarios, so live program cells carry an empty Chaos.
+// "none" = fault-free).
 type Cell struct {
 	Scenario string `json:"scenario"`
 	Mech     string `json:"mech"`
@@ -56,10 +55,9 @@ func (c Cell) String() string {
 // Cells expands the scenario, mechanism, runtime, termination protocol,
 // chaos-plan and topology axes into the cell list of their cross
 // product, in table order (scenario-major, mechanisms in paper order).
-// The protocol axis applies only to application scenarios and the chaos
-// axis skips live program cells (the live runtime injects faults
-// through the application host only); application scenarios keep only
-// the full topology (their solvers address arbitrary ranks).
+// The protocol axis applies only to application scenarios; application
+// scenarios keep only the full topology (their solvers address
+// arbitrary ranks).
 // Inapplicable axes collapse to one cell with the field empty. Passing
 // no terms, plans or topos (or only "") yields the plain matrix.
 func Cells(scenarios []string, mechs []core.Mech, runtimes []string, terms, plans, topos []string) []Cell {
@@ -84,12 +82,8 @@ func Cells(scenarios []string, mechs []core.Mech, runtimes []string, terms, plan
 		}
 		for _, m := range mechs {
 			for _, r := range runtimes {
-				ps := plans
-				if r == "live" && !workload.IsAppScenario(s) {
-					ps = []string{""}
-				}
 				for _, tm := range ts {
-					for _, pl := range ps {
+					for _, pl := range plans {
 						for _, tp := range tps {
 							cells = append(cells, Cell{Scenario: s, Mech: string(m), Runtime: r, Term: tm, Chaos: pl, Topo: tp})
 						}

@@ -13,17 +13,18 @@ import (
 
 // This file is the net side of the application port (workload.App /
 // workload.AppHost): hosting a real distributed application — the
-// multifrontal solver — over the same TCP mesh, codec and peer loops
-// the synthetic workloads use. Each rank is one Node whose main loop
+// multifrontal solver — over the same mesh, codec and peer loops the
+// synthetic workloads use. Each rank is one Node whose main loop
 // runs the application's Algorithm 1 instead of the built-in workload
 // loop; state messages, application data messages (TypeData frames
 // carrying workload.DataMsg) and termination-detection control frames
-// (TypeCtrl carrying termdet.Ctrl) genuinely travel the sockets.
+// (TypeCtrl carrying termdet.Ctrl) genuinely travel the links.
 //
 // Two deployments share this code:
 //
-//   - AppRunner hosts all n ranks in one process (one mesh of localhost
-//     nodes, application callbacks serialized by the binding's lock);
+//   - AppRunner hosts all n ranks in one process (one in-process mesh
+//     over TCP or in-memory links, application callbacks serialized by
+//     the binding's lock);
 //   - AppNode hosts a single rank in a forked `loadex node` process;
 //     the application instance in each process then executes exactly
 //     one local rank, and every cross-rank effect travels as a message.
@@ -397,11 +398,12 @@ func appReportOf(nodes []*Node, elapsed float64) *workload.AppReport {
 	return rep
 }
 
-// AppRunner implements workload.AppRunner over localhost TCP: the same
-// mesh, codec and graceful-shutdown machinery as Cluster, with the node
-// main loops running a hosted application. State, data and control
-// tallies in the report are real encoded frame-body sizes counted at
-// the writers.
+// AppRunner implements workload.AppRunner over an in-process mesh: the
+// same links, codec and graceful-shutdown machinery as Cluster, with the
+// node main loops running a hosted application. The zero value links
+// the nodes over localhost TCP (runtime "net"); NewLiveAppRunner links
+// them in memory (runtime "live"). State, data and control tallies in
+// the report are real encoded frame-body sizes counted at the writers.
 type AppRunner struct {
 	// Opts is the node option template (codec, timeouts, logging);
 	// Initial and Speed are ignored — application state comes from the
@@ -412,10 +414,25 @@ type AppRunner struct {
 	TimeScale float64
 	// Timeout bounds the whole run (default 120s).
 	Timeout time.Duration
+
+	// mem links the nodes in memory instead of over TCP.
+	mem bool
 }
 
+// NewLiveAppRunner returns the live runtime's application runner: the
+// nodes of each run linked over in-memory connection pairs.
+func NewLiveAppRunner(opts Options) *AppRunner { return &AppRunner{Opts: opts, mem: true} }
+
 // Runtime implements workload.AppRunner.
-func (*AppRunner) Runtime() string { return "net" }
+func (r *AppRunner) Runtime() string { return runtimeName(r.mem) }
+
+// runtimeName names the runtime a link kind implements.
+func runtimeName(mem bool) string {
+	if mem {
+		return "live"
+	}
+	return "net"
+}
 
 // RunApp implements workload.AppRunner.
 func (r *AppRunner) RunApp(n int, app workload.App, opts workload.AppRunOptions) (*workload.AppReport, error) {
@@ -443,64 +460,27 @@ func (r *AppRunner) RunApp(n int, app workload.App, opts workload.AppRunOptions)
 		nodeOpts.Rec = opts.Rec
 	}
 
-	nodes := make([]*Node, 0, n)
-	stop := func() {
-		var wg sync.WaitGroup
-		for _, nd := range nodes {
-			wg.Add(1)
-			go func(nd *Node) {
-				defer wg.Done()
-				nd.Close()
-			}(nd)
-		}
-		wg.Wait()
-	}
-	addrs := make([]string, n)
-	for rank := 0; rank < n; rank++ {
-		// The node's own exchanger is unused in app mode (the
-		// application owns its mechanisms); any registered mechanism
-		// satisfies the constructor.
+	// The node's own exchanger is unused in app mode (the application
+	// owns its mechanisms); any registered mechanism satisfies the
+	// constructor.
+	nodes, err := startMesh(n, r.mem, func(rank int) (*Node, error) {
 		nd, err := NewNode(rank, n, core.MechNaive, core.Config{}, nodeOpts)
 		if err != nil {
-			stop()
 			return nil, err
 		}
-		if err := bindAppNode(nd, b); err != nil {
-			stop()
-			return nil, err
-		}
-		nodes = append(nodes, nd)
-		if addrs[rank], err = nd.Listen("127.0.0.1:0"); err != nil {
-			stop()
-			return nil, err
-		}
-	}
-	// Start the whole mesh concurrently: rank r's Start blocks until
-	// every higher rank has dialed it.
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for rank := 0; rank < n; rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			errs[rank] = nodes[rank].Start(addrs)
-		}(rank)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			stop()
-			return nil, err
-		}
+		return nd, bindAppNode(nd, b)
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	host := &netAppHost{b: b, nodes: nodes, start: time.Now()}
 	b.startNS.Store(host.start.UnixNano())
 	b.mu.Lock()
-	err := app.Attach(host)
+	err = app.Attach(host)
 	b.mu.Unlock()
 	if err != nil {
-		stop()
+		stopNodes(nodes)
 		return nil, err
 	}
 	close(b.ready)
@@ -518,7 +498,7 @@ func (r *AppRunner) RunApp(n int, app workload.App, opts workload.AppRunOptions)
 	// (graceful Close — writer flushes, FIN exchanges — can take as
 	// long as a small run itself).
 	elapsed := time.Since(host.start).Seconds()
-	stop()
+	stopNodes(nodes)
 	rep := appReportOf(nodes, elapsed)
 	rep.DetectLatency = b.detectLatency()
 	return rep, runErr

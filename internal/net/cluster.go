@@ -8,51 +8,101 @@ import (
 	"repro/internal/core"
 )
 
-// Cluster runs N nodes over localhost TCP inside one process — the same
-// mesh, codec and node loops a multi-process deployment uses, minus the
-// fork. Tests and `loadex cluster -inproc` use it; its API mirrors
-// live.Cluster so the cross-runtime equivalence tests can drive both
-// through one harness.
+// Cluster runs N nodes inside one process — the same codec, node loops
+// and fault writer a multi-process deployment uses, minus the fork. A
+// NewCluster mesh links its nodes over localhost TCP (tests and `loadex
+// cluster -inproc`); a NewLiveCluster mesh links them over in-memory
+// connection pairs (the live runtime). The cross-runtime equivalence
+// tests drive both through workload.Cluster.
 type Cluster struct {
 	nodes []*Node
 }
 
 // NewCluster starts n nodes on ephemeral localhost ports running mech.
 func NewCluster(n int, mech core.Mech, cfg core.Config, opts Options) (*Cluster, error) {
-	cl := &Cluster{}
+	return newCluster(n, mech, cfg, opts, false)
+}
+
+// NewLiveCluster starts n nodes running mech over in-memory links, one
+// per topology edge: the live runtime.
+func NewLiveCluster(n int, mech core.Mech, cfg core.Config, opts Options) (*Cluster, error) {
+	return newCluster(n, mech, cfg, opts, true)
+}
+
+func newCluster(n int, mech core.Mech, cfg core.Config, opts Options, mem bool) (*Cluster, error) {
+	nodes, err := startMesh(n, mem, func(r int) (*Node, error) {
+		return NewNode(r, n, mech, cfg, opts)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Cluster{nodes: nodes}, nil
+}
+
+// startMesh builds and starts an in-process mesh of n nodes, newNode
+// creating rank r's. A TCP mesh listens on ephemeral localhost ports
+// and starts every node concurrently: rank r's Start blocks until every
+// higher neighbor has dialed it, so sequential starts would deadlock.
+// An in-memory mesh (mem) wires one link pair per topology edge first,
+// then launches the nodes. On any error every node built so far is
+// closed.
+func startMesh(n int, mem bool, newNode func(rank int) (*Node, error)) ([]*Node, error) {
+	nodes := make([]*Node, 0, n)
 	addrs := make([]string, n)
 	for r := 0; r < n; r++ {
-		nd, err := NewNode(r, n, mech, cfg, opts)
+		nd, err := newNode(r)
 		if err != nil {
-			cl.Stop()
+			stopNodes(nodes)
 			return nil, err
 		}
-		cl.nodes = append(cl.nodes, nd)
-		if addrs[r], err = nd.Listen("127.0.0.1:0"); err != nil {
-			cl.Stop()
+		nodes = append(nodes, nd)
+		if mem {
+			for s := 0; s < r; s++ {
+				if nd.edge(s) {
+					a, b := memLinkPair()
+					nodes[s].peers[r], nd.peers[s] = newPeer(r, a), newPeer(s, b)
+				}
+			}
+		} else if addrs[r], err = nd.Listen("127.0.0.1:0"); err != nil {
+			stopNodes(nodes)
 			return nil, err
 		}
 	}
-	// Start the whole mesh concurrently: rank r's Start blocks until
-	// every higher rank has dialed it, so sequential starts would
-	// deadlock.
 	var wg sync.WaitGroup
 	errs := make([]error, n)
-	for r := 0; r < n; r++ {
+	for r, nd := range nodes {
 		wg.Add(1)
-		go func(r int) {
+		go func() {
 			defer wg.Done()
-			errs[r] = cl.nodes[r].Start(addrs)
-		}(r)
+			if mem {
+				errs[r] = nd.startLinked()
+			} else {
+				errs[r] = nd.Start(addrs)
+			}
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			cl.Stop()
+			stopNodes(nodes)
 			return nil, err
 		}
 	}
-	return cl, nil
+	return nodes, nil
+}
+
+// stopNodes closes every node. Closes run concurrently: each node's
+// graceful shutdown waits for its peers' half-closes.
+func stopNodes(nodes []*Node) {
+	var wg sync.WaitGroup
+	for _, nd := range nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			nd.Close()
+		}()
+	}
+	wg.Wait()
 }
 
 // N returns the number of nodes.
@@ -63,7 +113,7 @@ func (cl *Cluster) Node(r int) *Node { return cl.nodes[r] }
 
 // Decide performs one dynamic decision on the master node: acquire a
 // coherent view, select the `slaves` least-loaded peers, commit the
-// reservation and ship the work over TCP. It blocks until the decision
+// reservation and ship the work over the mesh. It blocks until the decision
 // completed (for the snapshot mechanism, until the snapshot finished).
 func (cl *Cluster) Decide(master int, totalWork float64, slaves int, spin time.Duration) error {
 	_, err := cl.DecideObserved(master, totalWork, slaves, spin)
@@ -148,18 +198,5 @@ func (cl *Cluster) Counters(r int) core.Counters { return cl.nodes[r].Counters()
 // Transport returns node r's wire-level counters.
 func (cl *Cluster) Transport(r int) TransportStats { return cl.nodes[r].Transport() }
 
-// Stop closes every node. Closes run concurrently: each node's
-// graceful shutdown waits for its peers' half-closes.
-func (cl *Cluster) Stop() {
-	var wg sync.WaitGroup
-	for _, nd := range cl.nodes {
-		if nd != nil {
-			wg.Add(1)
-			go func(nd *Node) {
-				defer wg.Done()
-				nd.Close()
-			}(nd)
-		}
-	}
-	wg.Wait()
-}
+// Stop closes every node.
+func (cl *Cluster) Stop() { stopNodes(cl.nodes) }

@@ -1,19 +1,20 @@
-// Package net runs the load-exchange mechanisms over real TCP sockets:
-// the same transport-agnostic state machines that the deterministic
-// simulator (internal/sim) and the goroutine runtime (internal/live)
-// drive, now facing a genuine wire — serialization, per-pair FIFO
-// connections, backpressure and cross-process quiescence detection.
+// Package net runs the load-exchange mechanisms over real links: the
+// same transport-agnostic state machines that the deterministic
+// simulator (internal/sim) drives, now facing a genuine wire —
+// serialization, per-pair FIFO connections, backpressure and
+// cross-process quiescence detection. Its links are TCP sockets (the
+// net runtime) or in-memory connection pairs (the live runtime).
 //
 // The package has three layers:
 //
 //   - a length-prefixed wire codec (Codec; BinaryCodec is the default,
 //     JSONCodec can be swapped in for debugging),
-//   - Node, one OS process of the cluster: a TCP listener, one
-//     connection per peer, a prioritized state-message channel and a
-//     data channel, mirroring internal/live.Node,
+//   - Node, one process of the cluster: one link per peer, a
+//     prioritized state-message channel and a data channel (the
+//     paper's Algorithm 1 loop),
 //   - Cluster, an in-process harness that runs N Nodes over localhost
-//     TCP with the same API as live.Cluster (used by tests and by
-//     `loadex cluster -inproc`).
+//     TCP (tests, `loadex cluster -inproc`) or in-memory links (the
+//     live runtime).
 //
 // Multi-process clusters are assembled by `loadex cluster`, which forks
 // one `loadex node` per rank; the stdio handshake lives in cmd/loadex.

@@ -5,11 +5,12 @@ import (
 	"repro/internal/workload"
 )
 
-// Driver implements workload.Driver over an in-process localhost TCP
-// cluster: the same sockets, codec and node loops a multi-process
-// deployment uses, minus the fork. Multi-process deployments walk the
-// same rank programs through `loadex node` (workload.RunRank over
-// *Node).
+// Driver implements workload.Driver over an in-process cluster: the
+// same codec and node loops a multi-process deployment uses, minus the
+// fork. The zero value links the nodes over localhost TCP (runtime
+// "net"); NewLiveDriver links them in memory (runtime "live").
+// Multi-process deployments walk the same rank programs through `loadex
+// node` (workload.RunRank over *Node).
 type Driver struct {
 	// Opts is the node option template; per-rank initial loads and
 	// speed factors are filled in from the compiled programs.
@@ -17,28 +18,35 @@ type Driver struct {
 	// Drive tunes DriveCluster (Spin is always taken from the run's
 	// Params; the rest applies as given).
 	Drive workload.DriveOptions
+
+	// mem links the nodes in memory instead of over TCP.
+	mem bool
 }
 
 // NewDriver returns a TCP runtime driver using opts as the node option
 // template.
 func NewDriver(opts Options) Driver { return Driver{Opts: opts} }
 
+// NewLiveDriver returns the live runtime driver: the nodes of each run
+// linked over in-memory connection pairs, one per topology edge.
+func NewLiveDriver(opts Options) Driver { return Driver{Opts: opts, mem: true} }
+
 // Runtime implements workload.Driver.
-func (Driver) Runtime() string { return "net" }
+func (d Driver) Runtime() string { return runtimeName(d.mem) }
 
 // Run implements workload.Driver.
 func (d Driver) Run(w workload.Workload, mech core.Mech, cfg core.Config, p workload.Params) (*workload.Report, error) {
 	if as, ok := w.(workload.AppScenario); ok {
 		// Application scenarios (the solver) are hosted through the
-		// application port: the same TCP mesh and codec, one node per
-		// rank, in-process (see the execution model in workload/app.go).
-		return workload.RunAppScenario(&AppRunner{Opts: d.Opts}, as, mech, cfg, p)
+		// application port: the same mesh and codec, one node per rank,
+		// in-process (see the execution model in workload/app.go).
+		return workload.RunAppScenario(&AppRunner{Opts: d.Opts, mem: d.mem}, as, mech, cfg, p)
 	}
 	progs, err := w.Programs(p)
 	if err != nil {
 		return nil, err
 	}
-	cl, err := NewCluster(len(progs), mech, cfg, ProgramOptions(d.Opts, progs))
+	cl, err := newCluster(len(progs), mech, cfg, ProgramOptions(d.Opts, progs), d.mem)
 	if err != nil {
 		return nil, err
 	}
@@ -49,7 +57,7 @@ func (d Driver) Run(w workload.Workload, mech core.Mech, cfg core.Config, p work
 	if err != nil {
 		return nil, err
 	}
-	rep.Scenario, rep.Runtime = w.Name(), "net"
+	rep.Scenario, rep.Runtime = w.Name(), d.Runtime()
 	for r := 0; r < cl.N(); r++ {
 		tr := cl.Transport(r)
 		rep.WireMsgs += tr.MsgsIn

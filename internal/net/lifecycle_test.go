@@ -27,14 +27,18 @@ func waitGoroutines(t *testing.T, base int) {
 	t.Fatalf("goroutine leak: %d running, baseline %d\n%s", runtime.NumGoroutine(), base, buf[:n])
 }
 
-// TestRepeatedStartCloseNoLeak cycles whole clusters up and down and
-// checks every transport goroutine (readers, writers, node loops,
-// accept helpers) terminates — the regression test for accept-loop and
-// shutdown leaks.
+// TestRepeatedStartCloseNoLeak cycles whole clusters up and down, over
+// both link kinds, and checks every transport goroutine (readers,
+// writers, node loops, accept helpers) terminates — the regression test
+// for accept-loop and shutdown leaks.
 func TestRepeatedStartCloseNoLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
-	for i := 0; i < 5; i++ {
-		cl, err := NewCluster(3, core.MechIncrements, core.Config{}, Options{})
+	for i := 0; i < 10; i++ {
+		newCluster := NewCluster
+		if i%2 == 1 {
+			newCluster = NewLiveCluster
+		}
+		cl, err := newCluster(3, core.MechIncrements, core.Config{}, Options{})
 		if err != nil {
 			t.Fatalf("cycle %d: %v", i, err)
 		}

@@ -43,8 +43,8 @@ func TestClusterBasicWorkflow(t *testing.T) {
 }
 
 // TestClusterConcurrentDecisions is the package's race-detector stress
-// test, mirroring internal/live's: several masters decide
-// simultaneously over real TCP, so state traffic, data traffic and (for
+// test (internal/live runs it over in-memory links): several masters
+// decide simultaneously over real TCP, so state traffic, data traffic and (for
 // the snapshot mechanism) leader elections race end to end. Run with
 // -race; -short keeps it in CI budget.
 func TestClusterConcurrentDecisions(t *testing.T) {

@@ -71,15 +71,20 @@ type ctrlMsg struct {
 	c    termdet.Ctrl
 }
 
-// peer is one TCP link. The node with the higher rank dials the lower
-// one, so every unordered pair shares exactly one connection; a reader
-// goroutine decodes inbound frames and a writer goroutine owns the
-// outbound half (per-pair FIFO order, which the snapshot protocol
+// peer is one link: a TCP connection, or one end of an in-memory link
+// pair on a live mesh. On TCP the node with the higher rank dials the
+// lower one, so every unordered pair shares exactly one connection; a
+// reader goroutine decodes inbound frames and a writer goroutine owns
+// the outbound half (per-pair FIFO order, which the snapshot protocol
 // relies on, is therefore preserved end to end).
 type peer struct {
 	rank int
 	conn net.Conn
 	out  chan Message
+}
+
+func newPeer(rank int, conn net.Conn) *peer {
+	return &peer{rank: rank, conn: conn, out: make(chan Message, 1<<14)}
 }
 
 // TransportStats counts wire-level traffic of one node.
@@ -91,11 +96,13 @@ type TransportStats struct {
 	StateIn, WorkIn int64
 }
 
-// Node is one process of a TCP cluster. It mirrors internal/live.Node:
-// a single goroutine owns the mechanism and drains a prioritized
-// state-message channel before touching the data channel; the transport
+// Node is one process of a cluster: a single goroutine owns the
+// mechanism and drains a prioritized state-message channel before
+// touching the data channel (the paper's Algorithm 1); the transport
 // goroutines (one reader and one writer per peer) never call into the
-// mechanism.
+// mechanism. Its links are TCP connections, or in-memory link pairs on
+// a live mesh (NewLiveCluster) — the codec, loops, fault writer and
+// counters are the same on both.
 type Node struct {
 	rank, n int
 	mech    core.Mech
@@ -281,6 +288,27 @@ func (nd *Node) Start(addrs []string) error {
 	if len(addrs) != nd.n {
 		return fmt.Errorf("net: %d addresses for %d ranks", len(addrs), nd.n)
 	}
+	if err := nd.connect(addrs); err != nil {
+		return err
+	}
+	return nd.launch()
+}
+
+// startLinked launches a node whose peer links were wired in-process
+// before the start (an in-memory mesh): no listener, no handshake.
+func (nd *Node) startLinked() error {
+	nd.lifeMu.Lock()
+	defer nd.lifeMu.Unlock()
+	if nd.closing.Load() {
+		return fmt.Errorf("net: rank %d: Start after Close", nd.rank)
+	}
+	return nd.launch()
+}
+
+// connect dials every lower-rank neighbor and accepts every higher-rank
+// one, installing one peer per topology edge. On failure every
+// connection made so far and the listener are closed.
+func (nd *Node) connect(addrs []string) error {
 	deadline := time.Now().Add(nd.opts.DialTimeout)
 
 	type accepted struct {
@@ -336,12 +364,7 @@ func (nd *Node) Start(addrs []string) error {
 
 	consumed := 0
 	fail := func(err error) error {
-		for _, p := range nd.peers {
-			if p != nil {
-				p.conn.Close()
-			}
-		}
-		nd.ln.Close()
+		nd.closeLinks()
 		// The accept goroutines post exactly expect results; close any
 		// connection still parked (or about to land) in the buffer.
 		go func(pending int) {
@@ -393,7 +416,7 @@ func (nd *Node) Start(addrs []string) error {
 			conn.Close()
 			return fail(fmt.Errorf("net: rank %d hello to rank %d: %w", nd.rank, s, err))
 		}
-		nd.peers[s] = &peer{rank: s, conn: conn, out: make(chan Message, 1<<14)}
+		nd.peers[s] = newPeer(s, conn)
 	}
 
 	for i := 0; i < expect; i++ {
@@ -406,9 +429,15 @@ func (nd *Node) Start(addrs []string) error {
 			a.conn.Close()
 			return fail(fmt.Errorf("net: rank %d got hello from unexpected rank %d", nd.rank, a.rank))
 		}
-		nd.peers[a.rank] = &peer{rank: a.rank, conn: a.conn, out: make(chan Message, 1<<14)}
+		nd.peers[a.rank] = newPeer(a.rank, a.conn)
 	}
+	return nil
+}
 
+// launch initializes the mechanism and starts the per-peer reader and
+// writer goroutines and the node loop over the installed peers. Both
+// link kinds come through here; the caller holds lifeMu.
+func (nd *Node) launch() error {
 	if nd.appB == nil {
 		// App mode leaves the node's own exchanger untouched: the hosted
 		// application owns its mechanisms and initializes them at Attach.
@@ -428,12 +457,14 @@ func (nd *Node) Start(addrs []string) error {
 		go nd.readLoop(p)
 		go nd.writeLoop(p)
 	}
-	// Final gate: a Close that raced this Start set closing and is now
+	// Final gate: a Close that raced this start set closing and is now
 	// blocked on lifeMu; do not launch the run loop it will not stop —
-	// Close will see started=false and close done itself. The readers
-	// and writers just launched exit through the closed conns and quit.
+	// Close will see started=false and close done itself. Closing the
+	// links lets the readers and writers just launched exit at once
+	// instead of waiting out Close's grace period.
 	if nd.closing.Load() {
-		return fail(fmt.Errorf("net: rank %d: node closed during start", nd.rank))
+		nd.closeLinks()
+		return fmt.Errorf("net: rank %d: node closed during start", nd.rank)
 	}
 	nd.started.Store(true)
 	if nd.appB != nil {
@@ -442,6 +473,18 @@ func (nd *Node) Start(addrs []string) error {
 		go nd.run()
 	}
 	return nil
+}
+
+// closeLinks closes every installed peer connection and the listener.
+func (nd *Node) closeLinks() {
+	for _, p := range nd.peers {
+		if p != nil {
+			p.conn.Close()
+		}
+	}
+	if nd.ln != nil {
+		nd.ln.Close()
+	}
 }
 
 // readLoop decodes inbound frames from one peer and routes them. After
@@ -766,7 +809,7 @@ func (c nodeCtx) Broadcast(kind int, payload any, bytes float64) {
 }
 
 // run is the node main loop — Algorithm 1 with a prioritized state
-// channel, identical in structure to internal/live.
+// channel.
 func (nd *Node) run() {
 	defer func() {
 		// A snapshot round still in flight at shutdown would leave its
@@ -1173,8 +1216,8 @@ func (nd *Node) Close() error {
 	nd.wgWriters.Wait() // writers have drained their queues and flushed
 	for _, p := range nd.peers {
 		if p != nil {
-			if tc, ok := p.conn.(*net.TCPConn); ok {
-				tc.CloseWrite()
+			if hc, ok := p.conn.(interface{ CloseWrite() error }); ok {
+				hc.CloseWrite()
 			}
 		}
 	}

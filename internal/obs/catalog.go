@@ -25,13 +25,13 @@ func Catalog() []MetricDef {
 		{"loadex_ctrl_bytes_total", KindCounter, "rank", "sim,live,net", "control-channel bytes sent"},
 		{"loadex_decisions_total", KindCounter, "rank", "sim,live,net,service", "committed dynamic scheduling decisions"},
 		{"loadex_decision_latency_seconds_total", KindCounter, "rank", "sim,live,net,service", "summed view-acquire-to-decision latency"},
-		{"loadex_busy_seconds_total", KindCounter, "rank", "net", "wall-clock time the exchanger was busy (snapshot rounds in flight)"},
-		{"loadex_executed_total", KindCounter, "rank", "net", "work items completed"},
-		{"loadex_frames_in_total", KindCounter, "rank", "net", "wire frames received"},
-		{"loadex_frames_out_total", KindCounter, "rank", "net", "wire frames sent"},
-		{"loadex_wire_bytes_in_total", KindCounter, "rank", "net", "wire bytes received"},
-		{"loadex_wire_bytes_out_total", KindCounter, "rank", "net", "wire bytes sent"},
-		{"loadex_links_up", KindGauge, "rank", "net", "peer links currently connected"},
+		{"loadex_busy_seconds_total", KindCounter, "rank", "live,net", "wall-clock time the exchanger was busy (snapshot rounds in flight)"},
+		{"loadex_executed_total", KindCounter, "rank", "live,net", "work items completed"},
+		{"loadex_frames_in_total", KindCounter, "rank", "live,net", "wire frames received"},
+		{"loadex_frames_out_total", KindCounter, "rank", "live,net", "wire frames sent"},
+		{"loadex_wire_bytes_in_total", KindCounter, "rank", "live,net", "wire bytes received"},
+		{"loadex_wire_bytes_out_total", KindCounter, "rank", "live,net", "wire bytes sent"},
+		{"loadex_links_up", KindGauge, "rank", "live,net", "peer links currently connected"},
 		{"loadex_jobs_admitted_total", KindCounter, "", "service", "jobs admitted to the queue"},
 		{"loadex_jobs_completed_total", KindCounter, "", "service", "jobs completed successfully"},
 		{"loadex_jobs_failed_total", KindCounter, "", "service", "jobs that failed"},
@@ -56,11 +56,11 @@ type SpanDef struct {
 // start/done compute events rather than span begin/end pairs.
 func SpanKinds() []SpanDef {
 	return []SpanDef{
-		{"decision", "decision", "net,service", "whole dynamic decision: view acquire through work transfer"},
-		{"decision.acquire", "decision", "net,service", "waiting for a coherent view (the paper's decision latency)"},
-		{"decision.plan", "decision", "net,service", "least-loaded selection and work split"},
-		{"decision.transfer", "decision", "net,service", "handing assigned work to the selected slaves"},
-		{"snapshot.round", "snapshot", "sim,net", "one snapshot round in flight (exchanger busy interval)"},
+		{"decision", "decision", "live,net,service", "whole dynamic decision: view acquire through work transfer"},
+		{"decision.acquire", "decision", "live,net,service", "waiting for a coherent view (the paper's decision latency)"},
+		{"decision.plan", "decision", "live,net,service", "least-loaded selection and work split"},
+		{"decision.transfer", "decision", "live,net,service", "handing assigned work to the selected slaves"},
+		{"snapshot.round", "snapshot", "sim,live,net", "one snapshot round in flight (exchanger busy interval)"},
 		{"termdet.idle", "termdet", "sim,live,net", "rank passive in the termination detector, waiting for work or term"},
 		{"job.queued", "job", "service", "job admitted, waiting for a run slot"},
 		{"job.run", "job", "service", "job running on the mesh"},

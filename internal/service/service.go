@@ -242,7 +242,8 @@ type job struct {
 // Server is the scheduler service: a resident mesh plus a job table.
 type Server struct {
 	cfg   Config
-	nodes []*xnet.Node
+	mesh  *xnet.Cluster
+	nodes []*xnet.Node // mesh.Node(r) by rank
 	start time.Time
 	// decMu serializes dynamic decisions per rank (mechanism contract:
 	// decisions on one node must not overlap; across nodes they may).
@@ -295,48 +296,15 @@ func New(cfg Config) (*Server, error) {
 		idleCh:  make(chan struct{}),
 		quit:    make(chan struct{}),
 	}
-	nodes := make([]*xnet.Node, 0, cfg.Procs)
-	stop := func() {
-		var wg sync.WaitGroup
-		for _, nd := range nodes {
-			wg.Add(1)
-			go func(nd *xnet.Node) {
-				defer wg.Done()
-				nd.Close()
-			}(nd)
-		}
-		wg.Wait()
+	mesh, err := xnet.NewCluster(cfg.Procs, cfg.Mech, cfg.Cfg, nodeOpts)
+	if err != nil {
+		return nil, err
 	}
-	addrs := make([]string, cfg.Procs)
-	for rank := 0; rank < cfg.Procs; rank++ {
-		nd, err := xnet.NewNode(rank, cfg.Procs, cfg.Mech, cfg.Cfg, nodeOpts)
-		if err != nil {
-			stop()
-			return nil, err
-		}
-		nodes = append(nodes, nd)
-		if addrs[rank], err = nd.Listen("127.0.0.1:0"); err != nil {
-			stop()
-			return nil, err
-		}
+	s.mesh = mesh
+	s.nodes = make([]*xnet.Node, cfg.Procs)
+	for rank := range s.nodes {
+		s.nodes[rank] = mesh.Node(rank)
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, cfg.Procs)
-	for rank := 0; rank < cfg.Procs; rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			errs[rank] = nodes[rank].Start(addrs)
-		}(rank)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			stop()
-			return nil, err
-		}
-	}
-	s.nodes = nodes
 	s.registerObs()
 	s.wg.Add(1)
 	go s.schedule()
@@ -703,15 +671,7 @@ func (s *Server) Close() error {
 	s.closed = true
 	s.mu.Unlock()
 	close(s.quit)
-	var wg sync.WaitGroup
-	for _, nd := range s.nodes {
-		wg.Add(1)
-		go func(nd *xnet.Node) {
-			defer wg.Done()
-			nd.Close()
-		}(nd)
-	}
-	wg.Wait()
+	s.mesh.Stop()
 	s.wg.Wait()
 	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/live"
 	xnet "repro/internal/net"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -19,7 +18,7 @@ import (
 func runners() map[string]workload.AppRunner {
 	return map[string]workload.AppRunner{
 		"sim":  onSim(),
-		"live": &live.AppRunner{},
+		"live": xnet.NewLiveAppRunner(xnet.Options{}),
 		"net":  &xnet.AppRunner{},
 	}
 }
@@ -177,7 +176,7 @@ func relDiff(a, b float64) float64 {
 // run -scenario solver-wl -mech all -runtime all` exercises.
 func TestSolverScenarioMatrix(t *testing.T) {
 	drivers := []workload.Driver{
-		sim.NewWorkloadDriver(), live.NewDriver(), xnet.NewDriver(xnet.Options{}),
+		sim.NewWorkloadDriver(), xnet.NewLiveDriver(xnet.Options{}), xnet.NewDriver(xnet.Options{}),
 	}
 	p := workload.Params{Procs: 8}
 	for _, name := range []string{"solver-wl", "solver-mem"} {

@@ -3,18 +3,18 @@
 // "while global termination not detected". MUMPS relies on a real
 // termination detector to know when the last task and the last
 // in-flight message are gone; the hosts of the application port
-// (sim.AppRunner, live.AppRunner, net.AppRunner) use the protocols here
-// instead of host-side outstanding-work counters, so the same
-// quiescence decision is taken whether the ranks share a process, a
-// machine, or only a network.
+// (sim.AppRunner, and net.AppRunner for the live and net runtimes) use
+// the protocols here instead of host-side outstanding-work counters, so
+// the same quiescence decision is taken whether the ranks share a
+// process, a machine, or only a network.
 //
 // Like the load-exchange mechanisms in internal/core, detection
 // protocols are transport-agnostic state machines selectable by name:
 // they interact with the world only through the Context interface
 // (small control frames: engagement acknowledgments, probe tokens, the
 // termination announcement) and never block, so one implementation runs
-// unchanged over the deterministic simulator, the goroutine runtime and
-// real TCP sockets.
+// unchanged over the deterministic simulator, in-memory links and real
+// TCP sockets.
 //
 // Two protocols ship:
 //

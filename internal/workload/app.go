@@ -4,10 +4,10 @@ package workload
 // (the paper's multifrontal solver, internal/solver) and the runtime
 // that hosts it. A workload.App is the application side — the Algorithm
 // 1 behaviours of every process, expressed against the small AppHost
-// surface — and each runtime package (internal/sim, internal/live,
-// internal/net) provides one AppRunner that hosts any App: the
-// deterministic simulator drives it through its event loop, the live
-// and TCP runtimes run one Algorithm 1 loop per rank over channels or
+// surface — and each runtime package (internal/sim, internal/net)
+// provides one AppRunner that hosts any App: the deterministic
+// simulator drives it through its event loop, the live and TCP
+// runtimes run one Algorithm 1 loop per rank over in-memory links or
 // sockets. The port is what lets the scenario × mechanism × runtime
 // matrix sweep a genuine application, not just synthetic load programs.
 //
@@ -79,7 +79,7 @@ type DataMsg struct {
 // AppHost is the runtime surface an App targets: state-channel contexts
 // for the mechanisms, a data channel for application messages, deferred
 // compute, and main-loop wakeups. Implementations exist in
-// internal/sim, internal/live and internal/net.
+// internal/sim and internal/net.
 type AppHost interface {
 	// N returns the number of processes.
 	N() int
@@ -219,8 +219,8 @@ type AppReport struct {
 	PausedTime float64
 	// Counters is the transport-side measurement accumulator: state and
 	// data messages/bytes (per kind) and snapshot-blocked busy time.
-	// The simulator and the live runtime charge the modeled byte sizes;
-	// the net runtime counts real encoded frame sizes.
+	// The simulator charges the modeled byte sizes; the live and net
+	// runtimes count real encoded frame sizes.
 	Counters core.Counters
 	// WireMsgs / WireBytes are inbound transport totals (net hosts
 	// only).

@@ -9,7 +9,7 @@ import (
 )
 
 // Driver runs any workload on one runtime with one mechanism. Each
-// runtime package (internal/sim, internal/live, internal/net)
+// runtime package (internal/sim; internal/net for live and net)
 // implements it once; `loadex run` and the scenario-matrix equivalence
 // suite then cover every scenario × mechanism × runtime cell through
 // this single seam.
@@ -56,8 +56,8 @@ type Report struct {
 	// Counters is the cluster-wide measurement accumulator (messages,
 	// bytes per kind, decision latency, busy time, snapshot rounds),
 	// sampled at the same point as Stats so the final view acquisitions
-	// do not pollute the workload's numbers. The sim and live runtimes
-	// charge the core.Bytes* constants; the net runtime counts real
+	// do not pollute the workload's numbers. The sim runtime charges the
+	// core.Bytes* constants; the live and net runtimes count real
 	// encoded frame sizes.
 	Counters core.Counters
 	// FinalViews is one coherent post-quiescence view per rank.
@@ -103,8 +103,8 @@ func (r *Report) TotalStats() core.Stats {
 	return total
 }
 
-// Cluster is the runtime surface DriveCluster needs. live.Cluster and
-// net.Cluster both satisfy it; per-rank operations run on the rank's
+// Cluster is the runtime surface DriveCluster needs. net.Cluster
+// satisfies it over both link kinds; per-rank operations run on the rank's
 // own goroutine and return once applied.
 type Cluster interface {
 	DecideObserved(master int, totalWork float64, slaves int, spin time.Duration) (core.Decision, error)

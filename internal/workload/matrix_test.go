@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/live"
 	xnet "repro/internal/net"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -15,9 +14,9 @@ import (
 // The scenario-matrix equivalence suite is the generalization of the
 // original cross-runtime test: every registered scenario runs under
 // every mechanism on all three drivers of the core state machines —
-// sim (deterministic discrete events), live (goroutines+channels) and
-// net (real localhost TCP) — and the mechanism-level invariants must
-// agree:
+// sim (deterministic discrete events), live (nodes linked in memory)
+// and net (real localhost TCP) — and the mechanism-level invariants
+// must agree:
 //
 //  1. selection coherence — every slave selection targets exactly the
 //     processes the master believed least-loaded per its recorded view
@@ -37,17 +36,22 @@ var matrixParams = workload.Params{
 }
 
 // matrixDrivers returns the runtimes to cover; -short drops the TCP
-// runtime (the race-detector CI lane runs short mode).
+// runtime (the race-detector CI lane runs short mode; live runs the
+// same nodes over in-memory links).
 func matrixDrivers(short bool) []workload.Driver {
 	drive := workload.DriveOptions{Settle: 10 * time.Second}
-	ds := []workload.Driver{
-		sim.NewWorkloadDriver(),
-		live.Driver{Drive: drive},
-	}
+	ds := []workload.Driver{sim.NewWorkloadDriver(), liveDriver(drive)}
 	if !short {
 		ds = append(ds, xnet.Driver{Drive: drive})
 	}
 	return ds
+}
+
+// liveDriver returns the live runtime driver tuned by drive.
+func liveDriver(drive workload.DriveOptions) workload.Driver {
+	d := xnet.NewLiveDriver(xnet.Options{})
+	d.Drive = drive
+	return d
 }
 
 func TestScenarioMatrixEquivalence(t *testing.T) {
@@ -108,7 +112,7 @@ func TestRampNoMoreMasterOpt(t *testing.T) {
 	}
 	// Pruned views never settle, so don't wait for them.
 	drive := workload.DriveOptions{Settle: -1}
-	drivers := []workload.Driver{sim.NewWorkloadDriver(), live.Driver{Drive: drive}}
+	drivers := []workload.Driver{sim.NewWorkloadDriver(), liveDriver(drive)}
 	if !testing.Short() {
 		drivers = append(drivers, xnet.Driver{Drive: drive})
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/live"
 	xnet "repro/internal/net"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -44,7 +43,7 @@ func TestTopologyMatrixEquivalence(t *testing.T) {
 			topo, mech := topo, mech
 			t.Run(topoName+"/"+string(mech), func(t *testing.T) {
 				cfg := core.Config{Topo: topo}
-				drivers := []workload.Driver{sim.NewWorkloadDriver(), live.Driver{Drive: drive}}
+				drivers := []workload.Driver{sim.NewWorkloadDriver(), liveDriver(drive)}
 				if !testing.Short() {
 					drivers = append(drivers, xnet.Driver{Drive: drive})
 				}
