@@ -43,8 +43,8 @@
 //	                                            Chrome trace_event timelines
 //	                                            and latency tables
 //	loadex list    print the registered scenarios (program and app),
-//	               mechanisms, topologies, termination protocols,
-//	               runtimes and codecs — the sweep axes
+//	               mechanisms, topologies, termination protocols
+//	               and runtimes — the sweep axes
 //
 // Scenarios come in two kinds: program scenarios compile to per-rank
 // synthetic step scripts, and application scenarios (solver-wl,
@@ -269,5 +269,5 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "       loadex job <status|result|cancel|metrics> [-addr a] [-id n]   (query a serving instance)")
 	fmt.Fprintln(os.Stderr, "       loadex top -addr a [-interval d] [-count k]   (per-rank telemetry dashboard over a serving instance)")
 	fmt.Fprintln(os.Stderr, "       loadex report -dir d   (render recorded traces into Chrome trace_event timelines + latency tables)")
-	fmt.Fprintln(os.Stderr, "       loadex list   (print registered scenarios, mechanisms, topologies, chaos plans, runtimes and codecs)")
+	fmt.Fprintln(os.Stderr, "       loadex list   (print registered scenarios, mechanisms, topologies, chaos plans and runtimes)")
 }

@@ -169,11 +169,7 @@ func runCell(scenario string, mech core.Mech, rt string, inproc bool, p *nodePar
 			// rank of the app each with detector-driven quiescence.
 			return runCellForked(scenario, mech, p)
 		}
-		codec, err := xnet.NewCodec(p.codec)
-		if err != nil {
-			return nil, err
-		}
-		opts := xnet.Options{Codec: codec, Chaos: plan}
+		opts := xnet.Options{Chaos: plan}
 		if !isApp {
 			opts.Rec = rec
 		}

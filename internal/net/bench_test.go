@@ -28,7 +28,7 @@ func benchMessages() []Message {
 
 func benchCodecs(b *testing.B) []Codec {
 	b.Helper()
-	return []Codec{BinaryCodec{}, JSONCodec{}}
+	return []Codec{BinaryCodec{}}
 }
 
 func BenchmarkEncode(b *testing.B) {

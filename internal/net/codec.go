@@ -7,8 +7,7 @@
 //
 // The package has three layers:
 //
-//   - a length-prefixed wire codec (Codec; BinaryCodec is the default,
-//     JSONCodec can be swapped in for debugging),
+//   - a length-prefixed binary wire codec (BinaryCodec),
 //   - Node, one process of the cluster: one link per peer, a
 //     prioritized state-message channel and a data channel (the
 //     paper's Algorithm 1 loop),
@@ -22,7 +21,6 @@ package net
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -93,40 +91,40 @@ func (t MsgType) String() string {
 // Message is the flattened wire representation of everything that
 // travels between nodes. Only the fields relevant to Type (and, for
 // TypeState, Kind) are encoded; the rest stay zero. A flattened struct —
-// rather than an `any` payload — keeps both codecs trivial and makes
+// rather than an `any` payload — keeps the codec trivial and makes
 // decode(encode(m)) == m a meaningful property to fuzz.
 type Message struct {
-	Type MsgType `json:"type"`
-	From int32   `json:"from"`
+	Type MsgType
+	From int32
 	// Job identifies the multiplexed job of a TypeJob* frame (zero for
 	// every legacy type: job ids start at 1).
-	Job int32 `json:"job,omitempty"`
+	Job int32
 	// Kind is the core state-message kind (TypeState/TypeJobState only).
-	Kind int32 `json:"kind,omitempty"`
+	Kind int32
 	// Req is the snapshot request id (start_snp, snp).
-	Req int32 `json:"req,omitempty"`
+	Req int32
 	// Load carries the update/snp/master_to_slave load vector, or the
 	// work item's load (TypeWork).
-	Load core.Load `json:"load,omitempty"`
+	Load core.Load
 	// Assignments is the master_to_all reservation list.
-	Assignments []core.Assignment `json:"assignments,omitempty"`
+	Assignments []core.Assignment
 	// Origin, Seq and TTL identify a gossip rumor (kind gossip only):
 	// the originating rank, its per-origin sequence number and the
 	// remaining hop budget.
-	Origin int32 `json:"origin,omitempty"`
-	Seq    int32 `json:"seq,omitempty"`
-	TTL    int32 `json:"ttl,omitempty"`
+	Origin int32
+	Seq    int32
+	TTL    int32
 	// Loads is the diffusion view vector (kind diffuse only), one entry
 	// per rank.
-	Loads []core.Load `json:"loads,omitempty"`
+	Loads []core.Load
 	// Spin is the work item's execution duration in nanoseconds
 	// (TypeWork only).
-	Spin int64 `json:"spin,omitempty"`
+	Spin int64
 	// Data is the application-port payload (TypeData only); its Kind
 	// tag lives inside the struct, the transport does not interpret it.
-	Data workload.DataMsg `json:"data,omitzero"`
+	Data workload.DataMsg
 	// Ctrl is the termination-detection payload (TypeCtrl only).
-	Ctrl termdet.Ctrl `json:"ctrl,omitzero"`
+	Ctrl termdet.Ctrl
 }
 
 // DataMessage builds the wire message for one application data-channel
@@ -175,6 +173,20 @@ func jobBase(t MsgType) MsgType {
 		return TypeData
 	case TypeJobCtrl:
 		return TypeCtrl
+	}
+	return t
+}
+
+// jobType maps a base type onto its job-tagged variant (the inverse of
+// jobBase).
+func jobType(t MsgType) MsgType {
+	switch t {
+	case TypeState:
+		return TypeJobState
+	case TypeData:
+		return TypeJobData
+	case TypeCtrl:
+		return TypeJobCtrl
 	}
 	return t
 }
@@ -264,7 +276,7 @@ func (m *Message) StatePayload() any {
 // be safe for concurrent use (one encoder per peer writer, one decoder
 // per peer reader share the codec value).
 type Codec interface {
-	// Name identifies the codec on the command line ("binary", "json").
+	// Name identifies the codec ("binary").
 	Name() string
 	// Encode appends the wire form of m to dst and returns the extended
 	// slice.
@@ -277,20 +289,6 @@ type Codec interface {
 	// previous contents of m are discarded; on error m is undefined.
 	DecodeInto(b []byte, m *Message) error
 }
-
-// NewCodec returns the codec registered under name.
-func NewCodec(name string) (Codec, error) {
-	switch name {
-	case "", "binary":
-		return BinaryCodec{}, nil
-	case "json":
-		return JSONCodec{}, nil
-	}
-	return nil, fmt.Errorf("net: unknown codec %q (available: %s)", name, "binary, json")
-}
-
-// CodecNames lists the available codec names for usage messages.
-func CodecNames() []string { return []string{"binary", "json"} }
 
 // ---- binary codec --------------------------------------------------------
 
@@ -614,41 +612,6 @@ func (r *reader) load() (core.Load, error) {
 		l[i] = math.Float64frombits(u)
 	}
 	return l, nil
-}
-
-// ---- JSON codec ----------------------------------------------------------
-
-// JSONCodec encodes messages as JSON objects, one per frame — 3-4x the
-// bytes of BinaryCodec but readable in a packet capture; swap it in with
-// `-codec json` when debugging the wire.
-type JSONCodec struct{}
-
-// Name implements Codec.
-func (JSONCodec) Name() string { return "json" }
-
-// Encode implements Codec.
-func (JSONCodec) Encode(dst []byte, m Message) ([]byte, error) {
-	b, err := json.Marshal(m)
-	if err != nil {
-		return nil, err
-	}
-	return append(dst, b...), nil
-}
-
-// Decode implements Codec.
-func (JSONCodec) Decode(b []byte) (Message, error) {
-	var m Message
-	if err := json.Unmarshal(b, &m); err != nil {
-		return Message{}, err
-	}
-	return m, nil
-}
-
-// DecodeInto implements Codec. JSON decoding allocates regardless; the
-// method exists so the readers can hold one code path for both codecs.
-func (JSONCodec) DecodeInto(b []byte, m *Message) error {
-	*m = Message{}
-	return json.Unmarshal(b, m)
 }
 
 // ---- framing -------------------------------------------------------------

@@ -12,7 +12,7 @@ import (
 	"repro/internal/workload"
 )
 
-// TestJobFrameRoundTrip pushes job-tagged frames through both codecs:
+// TestJobFrameRoundTrip pushes job-tagged frames through the codec:
 // the job id and the base-type payload must survive unchanged.
 func TestJobFrameRoundTrip(t *testing.T) {
 	stateMsg, err := JobStateMessage(7, 2, core.KindUpdate, core.UpdatePayload{Load: core.Load{42, -1}})
@@ -24,32 +24,30 @@ func TestJobFrameRoundTrip(t *testing.T) {
 		JobCtrlMessage(300, 0, termdet.Ctrl{Kind: termdet.CtrlToken, Count: -3, Black: true}),
 		stateMsg,
 	}
-	for _, codec := range []Codec{BinaryCodec{}, JSONCodec{}} {
-		for _, m := range msgs {
-			body, err := codec.Encode(nil, m)
-			if err != nil {
-				t.Fatalf("%T encode %s: %v", codec, m.Type, err)
-			}
-			got, err := codec.Decode(body)
-			if err != nil {
-				t.Fatalf("%T decode %s: %v", codec, m.Type, err)
-			}
-			if got.Job != m.Job {
-				t.Errorf("%T %s: job id %d, want %d", codec, m.Type, got.Job, m.Job)
-			}
-			// Compare the fields the base type carries.
-			if got.Type != m.Type || got.From != m.From ||
-				!reflect.DeepEqual(got.Data, m.Data) || got.Ctrl != m.Ctrl ||
-				got.Kind != m.Kind {
-				t.Errorf("%T %s roundtrip drift:\n got %+v\nwant %+v", codec, m.Type, got, m)
-			}
+	codec := BinaryCodec{}
+	for _, m := range msgs {
+		body, err := codec.Encode(nil, m)
+		if err != nil {
+			t.Fatalf("%T encode %s: %v", codec, m.Type, err)
+		}
+		got, err := codec.Decode(body)
+		if err != nil {
+			t.Fatalf("%T decode %s: %v", codec, m.Type, err)
+		}
+		if got.Job != m.Job {
+			t.Errorf("%T %s: job id %d, want %d", codec, m.Type, got.Job, m.Job)
+		}
+		// Compare the fields the base type carries.
+		if got.Type != m.Type || got.From != m.From ||
+			!reflect.DeepEqual(got.Data, m.Data) || got.Ctrl != m.Ctrl ||
+			got.Kind != m.Kind {
+			t.Errorf("%T %s roundtrip drift:\n got %+v\nwant %+v", codec, m.Type, got, m)
 		}
 	}
 }
 
 // TestJobFrameClass asserts the chaos fault injector buckets job-tagged
-// frames like their base types for both codecs — including the JSON
-// path, where the type number is now multi-digit.
+// frames like their base types.
 func TestJobFrameClass(t *testing.T) {
 	cases := []struct {
 		m    Message
@@ -66,15 +64,14 @@ func TestJobFrameClass(t *testing.T) {
 		m    Message
 		want chaos.Class
 	}{st, chaos.ClassState})
-	for _, codec := range []Codec{BinaryCodec{}, JSONCodec{}} {
-		for _, c := range cases {
-			body, err := codec.Encode(nil, c.m)
-			if err != nil {
-				t.Fatalf("%T encode: %v", codec, err)
-			}
-			if got := frameClass(body); got != c.want {
-				t.Errorf("%T frameClass(%s) = %v, want %v", codec, c.m.Type, got, c.want)
-			}
+	codec := BinaryCodec{}
+	for _, c := range cases {
+		body, err := codec.Encode(nil, c.m)
+		if err != nil {
+			t.Fatalf("%T encode: %v", codec, err)
+		}
+		if got := frameClass(body); got != c.want {
+			t.Errorf("%T frameClass(%s) = %v, want %v", codec, c.m.Type, got, c.want)
 		}
 	}
 }
@@ -115,50 +112,51 @@ func TestJobMuxRouting(t *testing.T) {
 		}
 	}
 
-	portA0, err := nodes[0].RegisterJob(1, 8)
+	bindA, bindB := newAppBinding(nil, workload.AppRunOptions{}, 1, 2), newAppBinding(nil, workload.AppRunOptions{}, 1, 2)
+	portA0, err := bindA.jobPort(nodes[0], 1, 8)
 	if err != nil {
-		t.Fatalf("RegisterJob A0: %v", err)
+		t.Fatalf("register A0: %v", err)
 	}
-	portA1, err := nodes[1].RegisterJob(1, 8)
+	portA1, err := bindA.jobPort(nodes[1], 1, 8)
 	if err != nil {
-		t.Fatalf("RegisterJob A1: %v", err)
+		t.Fatalf("register A1: %v", err)
 	}
-	portB1, err := nodes[1].RegisterJob(2, 8)
+	portB1, err := bindB.jobPort(nodes[1], 2, 8)
 	if err != nil {
-		t.Fatalf("RegisterJob B1: %v", err)
+		t.Fatalf("register B1: %v", err)
 	}
-	if _, err := nodes[0].RegisterJob(1, 8); err == nil {
-		t.Errorf("duplicate RegisterJob succeeded")
+	if _, err := newAppBinding(nil, workload.AppRunOptions{}, 1, 2).jobPort(nodes[0], 1, 8); err == nil {
+		t.Errorf("duplicate job registration succeeded")
 	}
-	if _, err := nodes[0].RegisterJob(0, 8); err == nil {
-		t.Errorf("RegisterJob(0) succeeded; ids start at 1")
+	if _, err := newAppBinding(nil, workload.AppRunOptions{}, 1, 2).jobPort(nodes[0], 0, 8); err == nil {
+		t.Errorf("job 0 registration succeeded; ids start at 1")
 	}
 
 	// Job 1 data from rank 0 must reach job 1's port on rank 1 only.
-	portA0.SendData(1, workload.DataMsg{Kind: 5, Work: 7})
+	bindA.SendData(0, 1, workload.DataMsg{Kind: 5, Work: 7})
 	select {
-	case d := <-portA1.DataCh:
-		if d.From != 0 || d.Msg.Kind != 5 || d.Msg.Work != 7 {
+	case d := <-portA1.dataCh:
+		if d.from != 0 || d.m.Kind != 5 || d.m.Work != 7 {
 			t.Errorf("job 1 data drifted: %+v", d)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatalf("job 1 data never arrived")
 	}
 	select {
-	case d := <-portB1.DataCh:
+	case d := <-portB1.dataCh:
 		t.Errorf("job 2 port received job 1 data: %+v", d)
 	default:
 	}
 
 	// Ctrl frames of job 2 reach job 2's port.
-	jp, err := nodes[0].RegisterJob(2, 8)
+	jp, err := bindB.jobPort(nodes[0], 2, 8)
 	if err != nil {
-		t.Fatalf("RegisterJob B0: %v", err)
+		t.Fatalf("register B0: %v", err)
 	}
 	jp.SendCtrl(1, termdet.Ctrl{Kind: termdet.CtrlAck})
 	select {
-	case c := <-portB1.CtrlCh:
-		if c.From != 0 || c.Ctrl.Kind != termdet.CtrlAck {
+	case c := <-portB1.ctrlCh:
+		if c.from != 0 || c.c.Kind != termdet.CtrlAck {
 			t.Errorf("job 2 ctrl drifted: %+v", c)
 		}
 	case <-time.After(5 * time.Second):
@@ -166,10 +164,10 @@ func TestJobMuxRouting(t *testing.T) {
 	}
 
 	// Self-delivery stays local and in order.
-	portA0.SendData(0, workload.DataMsg{Kind: 9})
+	bindA.SendData(0, 0, workload.DataMsg{Kind: 9})
 	select {
-	case d := <-portA0.DataCh:
-		if d.From != 0 || d.Msg.Kind != 9 {
+	case d := <-portA0.dataCh:
+		if d.from != 0 || d.m.Kind != 9 {
 			t.Errorf("self-delivery drifted: %+v", d)
 		}
 	case <-time.After(time.Second):
@@ -177,12 +175,12 @@ func TestJobMuxRouting(t *testing.T) {
 	}
 
 	// A frame for an unregistered job is dropped; the mesh stays alive.
-	nodes[1].UnregisterJob(2)
+	nodes[1].unregisterJob(2)
 	jp.SendCtrl(1, termdet.Ctrl{Kind: termdet.CtrlAck})
-	portA0.SendData(1, workload.DataMsg{Kind: 6})
+	bindA.SendData(0, 1, workload.DataMsg{Kind: 6})
 	select {
-	case d := <-portA1.DataCh:
-		if d.Msg.Kind != 6 {
+	case d := <-portA1.dataCh:
+		if d.m.Kind != 6 {
 			t.Errorf("post-drop data drifted: %+v", d)
 		}
 	case <-time.After(5 * time.Second):
@@ -190,10 +188,58 @@ func TestJobMuxRouting(t *testing.T) {
 	}
 
 	// Per-port counters tally the job's own sends only.
-	if c := portA0.Counters(); c.DataMsgs != 3 {
+	if c := portA0.counters(); c.DataMsgs != 3 {
 		t.Errorf("port A0 data msgs %d, want 3", c.DataMsgs)
 	}
-	if c := portB1.Counters(); c.DataMsgs != 0 || c.CtrlMsgs != 0 {
+	if c := portB1.counters(); c.DataMsgs != 0 || c.CtrlMsgs != 0 {
 		t.Errorf("port B1 tallied traffic it never sent: %+v", c)
+	}
+}
+
+// TestRunJobMatchesAppRunner hosts the same App both ways the port
+// loop runs: as every node's own rank (AppRunner, loops on the node
+// goroutines) and as a job on a resident mesh (RunJob, loops on their
+// own goroutines over job-tagged frames). Under Dijkstra–Scholten both
+// must move the same data and satisfy CtrlMsgs == DataMsgs + 2(n-1):
+// one ack per data message, plus one detach ack and one termination
+// announcement per non-root rank.
+func TestRunJobMatchesAppRunner(t *testing.T) {
+	const n = 4
+	opts := workload.AppRunOptions{Term: termdet.ProtocolDS}
+	own := &ringApp{laps: 3}
+	ownRep, err := (&AppRunner{}).RunApp(n, own, opts)
+	if err != nil {
+		t.Fatalf("AppRunner: %v", err)
+	}
+
+	cl, err := NewCluster(n, core.MechIncrements, core.Config{}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Stop()
+	job := &ringApp{laps: 3}
+	jobRep, err := RunJob(cl.nodes, 1, 16, job, opts, time.Minute)
+	if err != nil {
+		t.Fatalf("RunJob: %v", err)
+	}
+
+	for _, c := range []struct {
+		name string
+		app  *ringApp
+		got  core.Counters
+	}{{"AppRunner", own, ownRep.Counters}, {"RunJob", job, jobRep.Counters}} {
+		if !c.app.Done() {
+			t.Errorf("%s: detector concluded after %d hops, want %d", c.name, c.app.hops, n*c.app.laps)
+		}
+		if want := int64(n * c.app.laps); c.got.DataMsgs != want {
+			t.Errorf("%s: data msgs %d, want %d", c.name, c.got.DataMsgs, want)
+		}
+		if want := c.got.DataMsgs + 2*(n-1); c.got.CtrlMsgs != want {
+			t.Errorf("%s: ctrl msgs %d, want data %d + 2(n-1) = %d", c.name, c.got.CtrlMsgs, c.got.DataMsgs, want)
+		}
+	}
+	if ownRep.Counters.DataMsgs != jobRep.Counters.DataMsgs || ownRep.Counters.CtrlMsgs != jobRep.Counters.CtrlMsgs {
+		t.Errorf("hosting paths diverge: AppRunner data/ctrl %d/%d, RunJob %d/%d",
+			ownRep.Counters.DataMsgs, ownRep.Counters.CtrlMsgs, jobRep.Counters.DataMsgs, jobRep.Counters.CtrlMsgs)
 	}
 }

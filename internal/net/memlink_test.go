@@ -79,8 +79,8 @@ type obsRingApp struct {
 }
 
 func (a *obsRingApp) Attach(host workload.AppHost) error {
-	for _, nd := range host.(*netAppHost).nodes {
-		nd.RegisterObs(a.reg)
+	for _, jp := range host.(*appBinding).ports {
+		jp.nd.RegisterObs(a.reg)
 	}
 	return a.ringApp.Attach(host)
 }

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/termdet"
 )
 
 // Options tunes a Node.
@@ -65,12 +64,6 @@ type workMsg struct {
 	spin time.Duration
 }
 
-// ctrlMsg is one inbound termination-detection control frame.
-type ctrlMsg struct {
-	from int
-	c    termdet.Ctrl
-}
-
 // peer is one link: a TCP connection, or one end of an in-memory link
 // pair on a live mesh. On TCP the node with the higher rank dials the
 // lower one, so every unordered pair shares exactly one connection; a
@@ -120,12 +113,7 @@ type Node struct {
 	peers     []*peer
 	stateCh   chan inMsg
 	dataCh    chan workMsg
-	appCh     chan appMsg   // inbound application-port data messages
-	ctrlCh    chan ctrlMsg  // inbound termination-detection control frames
-	wakeCh    chan struct{} // cross-rank main-loop wakeups (app mode)
-	appB      *appBinding   // non-nil when the node hosts a workload.App rank
-	appDet    termdet.Protocol
-	appPend   *appCompute // deferred compute, owned by the node goroutine
+	port      *JobPort // non-nil when the node hosts a workload.App rank (job 0)
 	quit      chan struct{}
 	done      chan struct{} // main loop exited
 	wgReaders sync.WaitGroup
@@ -174,20 +162,11 @@ type Node struct {
 	decLatencyBits atomic.Uint64 // seconds, Acquire → view-ready, summed
 	busySecBits    atomic.Uint64 // busy.Seconds mirror for scrapes
 
-	// idleSid is the open termdet.idle trace span (app mode, node
-	// goroutine only).
-	idleSid int64
-
-	// sleepTimer is appSleep's reused compute timer (node goroutine
-	// only): short intervals over a long run would otherwise allocate
-	// one uncollected runtime timer per interval.
-	sleepTimer *time.Timer
-
 	// jobMu guards jobs, the registry of multiplexed job ports
-	// (internal/service): readLoop routes TypeJob* frames to the port
-	// registered under the frame's job id. Frames for a job id with no
-	// registered port are dropped — the job already finished here, or
-	// was never admitted on this rank.
+	// (RunJob): readLoop routes TypeJob* frames to the port registered
+	// under the frame's job id. Frames for a job id with no registered
+	// port are dropped — the job already finished here, or was never
+	// admitted on this rank.
 	jobMu sync.RWMutex
 	jobs  map[int32]*JobPort
 }
@@ -233,9 +212,6 @@ func NewNode(rank, n int, mech core.Mech, cfg core.Config, opts Options) (*Node,
 		peers:   make([]*peer, n),
 		stateCh: make(chan inMsg, 1<<16),
 		dataCh:  make(chan workMsg, 1<<12),
-		appCh:   make(chan appMsg, 1<<14),
-		ctrlCh:  make(chan ctrlMsg, 1<<14),
-		wakeCh:  make(chan struct{}, 1),
 		quit:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}, nil
@@ -438,7 +414,7 @@ func (nd *Node) connect(addrs []string) error {
 // writer goroutines and the node loop over the installed peers. Both
 // link kinds come through here; the caller holds lifeMu.
 func (nd *Node) launch() error {
-	if nd.appB == nil {
+	if nd.port == nil {
 		// App mode leaves the node's own exchanger untouched: the hosted
 		// application owns its mechanisms and initializes them at Attach.
 		initial := core.Load{}
@@ -467,11 +443,14 @@ func (nd *Node) launch() error {
 		return fmt.Errorf("net: rank %d: node closed during start", nd.rank)
 	}
 	nd.started.Store(true)
-	if nd.appB != nil {
-		go nd.runApp()
-	} else {
-		go nd.run()
-	}
+	go func() {
+		defer close(nd.done)
+		if nd.port != nil {
+			nd.port.run()
+		} else {
+			nd.run()
+		}
+	}()
 	return nil
 }
 
@@ -559,21 +538,11 @@ func (nd *Node) readLoop(p *peer) {
 			case <-nd.quit:
 				return
 			}
-		case TypeData:
-			nd.workIn.Add(1)
-			select {
-			case nd.appCh <- appMsg{from: int(m.From), m: m.Data}:
-			case <-nd.quit:
-				return
+		case TypeData, TypeCtrl, TypeJobState, TypeJobData, TypeJobCtrl:
+			if m.Type == TypeData {
+				nd.workIn.Add(1)
 			}
-		case TypeCtrl:
-			select {
-			case nd.ctrlCh <- ctrlMsg{from: int(m.From), c: m.Ctrl}:
-			case <-nd.quit:
-				return
-			}
-		case TypeJobState, TypeJobData, TypeJobCtrl:
-			if !nd.routeJob(m) {
+			if !nd.route(&m) {
 				nd.logf("net: rank %d dropped %s for unknown job %d from %d", nd.rank, m.Type, m.Job, p.rank)
 			}
 			// Same ownership transfer as TypeState: a routed job-state
@@ -818,7 +787,6 @@ func (nd *Node) run() {
 			nd.opts.Rec.SpanEnd(nd.rank, "snapshot.round", nd.busySid, nodeCtx{nd}.Now())
 			nd.busySid = 0
 		}
-		close(nd.done)
 	}()
 	for {
 		// Priority 1: drain state-information messages.
@@ -1121,6 +1089,10 @@ func (nd *Node) sampleCounters() core.Counters {
 		DataBytes:       float64(nd.workBytesOut.Load()),
 		CtrlMsgs:        nd.ctrlMsgsOut.Load(),
 		CtrlBytes:       float64(nd.ctrlBytesOut.Load()),
+	}
+	if nd.port != nil {
+		// App mode: the hosted App's Blocked gating is what is busy.
+		c.BusyTime = nd.port.busy.Seconds
 	}
 	for k := core.KindUpdate; k <= core.KindMax; k++ {
 		msgs := nd.stateKindMsgs[k].Load()

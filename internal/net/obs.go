@@ -69,10 +69,10 @@ func (nd *Node) Health() obs.Health {
 	// The detector is owned by the node goroutine; sample it there.
 	// On a stopped node Invoke returns without running fn — the
 	// zero detector phase is correct then too.
-	if nd.appDet != nil {
+	if jp := nd.port; jp != nil {
 		nd.Invoke(func(core.Context, core.Exchanger) {
-			h.Detector = nd.appDet.Name()
-			h.Terminated = nd.appDet.Terminated()
+			h.Detector = jp.det.Name()
+			h.Terminated = jp.det.Terminated()
 		})
 	}
 	return h

@@ -1,210 +1,193 @@
 package service
 
-// Synthetic jobs: the paper's master/slave load program, re-expressed
-// against a shared mesh. Decisions are taken on the mesh's resident
-// exchanger (Acquire → PlanDecision → Commit on the node goroutine, so
-// concurrent jobs contend for the same view — the measurement this
-// service exists for), while the work itself ships as job-tagged data
-// frames executed by per-job rank drivers, with one termdet.Protocol
-// instance per (job, rank) deciding the job's own quiescence.
+// Both job kinds are workload.Apps hosted by net.RunJob: one port per
+// rank, each running the application's Algorithm 1 loop over job-tagged
+// frames on the resident mesh, with one termdet.Protocol instance per
+// (job, rank) deciding the job's own quiescence. A hosted application
+// (the multifrontal solver) runs unchanged; the synthetic job is the
+// paper's master/slave load program, re-expressed against the mesh's
+// shared exchanger.
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/core"
 	xnet "repro/internal/net"
-	"repro/internal/termdet"
 	"repro/internal/workload"
 )
+
+// jobTimeout bounds one job's run to detector-announced quiescence.
+const jobTimeout = 2 * time.Minute
+
+// appBuf sizes an application job's port queues.
+const appBuf = 256
 
 // jobKindWork tags a synthetic job's work-share data message.
 const jobKindWork = 1
 
-// jobDetCtx is a (job, rank) detector's termdet.Context: control frames
-// travel as job-tagged ctrl frames through the rank's port.
-type jobDetCtx struct{ jp *xnet.JobPort }
-
-func (c jobDetCtx) Rank() int { return c.jp.Rank() }
-func (c jobDetCtx) N() int    { return c.jp.N() }
-
-func (c jobDetCtx) SendCtrl(to int, ct termdet.Ctrl) {
-	c.jp.SendCtrl(to, ct)
-}
-
-// registerPorts creates the job's port on every rank. buf sizes the
-// inbound channels from the job's worst-case burst.
-func (s *Server) registerPorts(id int32, buf int) ([]*xnet.JobPort, error) {
-	ports := make([]*xnet.JobPort, len(s.nodes))
-	for r, nd := range s.nodes {
-		jp, err := nd.RegisterJob(id, buf)
-		if err != nil {
-			for i := 0; i < r; i++ {
-				s.nodes[i].UnregisterJob(id)
-			}
-			return nil, err
-		}
-		ports[r] = jp
-	}
-	return ports, nil
-}
-
-func (s *Server) unregisterPorts(id int32) {
-	for _, nd := range s.nodes {
-		nd.UnregisterJob(id)
-	}
-}
-
-// runSynthetic executes one synthetic job to quiescence on the resident
-// mesh.
-func (s *Server) runSynthetic(j *job) error {
-	n := s.cfg.Procs
-	sp := j.spec
-	// Worst-case burst per rank: every decision's shares could target
-	// the same rank, plus one ack per sent message and the termination
-	// announcement.
-	buf := sp.Decisions*sp.Slaves + n + 4
-	ports, err := s.registerPorts(j.id, buf)
+// execute runs one admitted job to quiescence on the resident mesh and
+// records its counters and executed work.
+func (s *Server) execute(j *job) error {
+	app, opts, buf, err := s.newApp(j)
 	if err != nil {
 		return err
 	}
-	defer s.unregisterPorts(j.id)
-
-	// Round-robin the decisions over the master ranks.
-	quota := make([]int, n)
-	for d := 0; d < sp.Decisions; d++ {
-		quota[d%sp.Masters]++
+	if s.cfg.Term != "" {
+		opts.Term = s.cfg.Term
 	}
-
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	execCount := make([]int64, n)
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			execCount[r], errs[r] = s.syntheticRank(j, r, ports[r], quota[r])
-		}(r)
+	hr, err := xnet.RunJob(s.nodes, j.id, buf, app, opts, jobTimeout)
+	if err != nil {
+		return err
 	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
+	out := app.Outcome(hr)
+	if out.Err != nil {
+		return out.Err
 	}
-	for r := 0; r < n; r++ {
-		j.executed += execCount[r]
-		j.counters.Merge(ports[r].Counters())
+	j.counters = workload.CountersFromApp(hr, out)
+	for _, e := range out.Executed {
+		j.executed += e
 	}
 	return nil
 }
 
-// syntheticRank is one rank's driver loop for one synthetic job:
-// Algorithm 1 with the decisions as the local task source and the
-// job's detector deciding quiescence. All detector calls happen on
-// this goroutine (the protocol's single-owner contract).
-func (s *Server) syntheticRank(j *job, rank int, jp *xnet.JobPort, quota int) (int64, error) {
-	det, err := termdet.New(s.cfg.Term, s.cfg.Procs, rank)
+// newApp builds the job's application, its run options and the size of
+// its port queues.
+func (s *Server) newApp(j *job) (workload.App, workload.AppRunOptions, int, error) {
+	n := s.cfg.Procs
+	sp := j.spec
+	if sp.Kind == "synthetic" {
+		// Worst-case burst per rank: every decision's shares could
+		// target the same rank, plus one ack per sent message and the
+		// termination announcement.
+		return newSynthetic(s, j), workload.AppRunOptions{}, sp.Decisions*sp.Slaves + n + 4, nil
+	}
+	w, err := workload.Get(sp.Scenario)
 	if err != nil {
-		return 0, err
+		return nil, workload.AppRunOptions{}, 0, err
 	}
-	ctx := jobDetCtx{jp}
-	nd := s.nodes[rank]
-	var executed int64
-	deadline := time.NewTimer(2 * time.Minute)
-	defer deadline.Stop()
-	for {
-		// Priority 0: the job's detector control frames.
-		select {
-		case c := <-jp.CtrlCh:
-			det.OnCtrl(ctx, c.From, c.Ctrl)
-			if det.Terminated() {
-				return executed, nil
-			}
-			continue
-		default:
-		}
-		// Priority 1: local task source — one dynamic decision against
-		// the mesh's shared view. OnSend precedes SendData so no ack can
-		// outrun its engagement.
-		if quota > 0 {
-			select {
-			case <-j.cancel:
-				quota = 0 // stop deciding; drain what is in flight
-				continue
-			default:
-			}
-			dec, err := s.decide(j, rank, jp)
-			if err != nil {
-				return executed, err
-			}
-			quota--
-			for _, a := range dec.Assignments {
-				det.OnSend(ctx, int(a.Proc))
-				jp.SendData(int(a.Proc), workload.DataMsg{
-					Kind: jobKindWork,
-					Work: a.Delta[core.Workload],
-					Size: sSpin(j.spec.Spin),
-				})
-			}
-			continue
-		}
-		// Priority 2: execute one received work share.
-		select {
-		case d := <-jp.DataCh:
-			det.OnReceive(ctx, d.From)
-			s.executeShare(nd, d.Msg)
-			executed++
-			continue
-		default:
-		}
-		// Idle: declare passivity; detection (rank 0) or the CtrlTerm
-		// announcement ends the loop.
-		det.Passive(ctx)
-		if det.Terminated() {
-			return executed, nil
-		}
-		select {
-		case c := <-jp.CtrlCh:
-			det.OnCtrl(ctx, c.From, c.Ctrl)
-			if det.Terminated() {
-				return executed, nil
-			}
-		case d := <-jp.DataCh:
-			det.OnReceive(ctx, d.From)
-			s.executeShare(nd, d.Msg)
-			executed++
-		case <-jp.Quit():
-			return executed, fmt.Errorf("service: mesh closed during job %d", j.id)
-		case <-deadline.C:
-			return executed, fmt.Errorf("service: job %d rank %d: no termination after 2m (%s)", j.id, rank, det.Name())
-		}
+	as, ok := w.(workload.AppScenario)
+	if !ok {
+		return nil, workload.AppRunOptions{}, 0, fmt.Errorf("service: %q is not an application scenario", sp.Scenario)
 	}
+	p := workload.DefaultParams()
+	p.Procs = n
+	p.Normalize()
+	app, opts, err := as.NewApp(s.cfg.Mech, s.cfg.Cfg, p)
+	return app, opts, appBuf, err
 }
 
-// sSpin round-trips the spin seconds through the DataMsg Size field.
-func sSpin(sec float64) float64 { return sec }
+// synthetic is a synthetic job as a workload.App. A rank's local task
+// source is its quota of dynamic decisions, each taken against the
+// mesh's shared view (so concurrent jobs contend for the same view —
+// the measurement this service exists for) and shipped as work shares;
+// a received share lands on the shared view for its spin, then leaves
+// it. The job keeps no state of its own besides per-rank tallies, so
+// quiescence is entirely the detector's.
+type synthetic struct {
+	s    *Server
+	j    *job
+	host workload.AppHost
+
+	quota    []int   // decisions left per rank
+	executed []int64 // shares completed per rank
+	cnt      core.Counters
+	err      error
+}
+
+func newSynthetic(s *Server, j *job) *synthetic {
+	a := &synthetic{s: s, j: j, quota: make([]int, s.cfg.Procs), executed: make([]int64, s.cfg.Procs)}
+	// Round-robin the decisions over the master ranks.
+	for d := 0; d < j.spec.Decisions; d++ {
+		a.quota[d%j.spec.Masters]++
+	}
+	return a
+}
+
+func (a *synthetic) Attach(host workload.AppHost) error {
+	a.host = host
+	return nil
+}
+
+// HandleState never runs: the job has no mechanism of its own.
+func (a *synthetic) HandleState(rank, from, kind int, payload any) {}
+
+// HandleData executes one received work share: the load lands on the
+// shared view, the spin burns wall clock as the rank's compute, then
+// the load is removed.
+func (a *synthetic) HandleData(rank, _ int, m workload.DataMsg) {
+	nd := a.s.nodes[rank]
+	shift(nd, m.Work)
+	a.host.Compute(rank, m.Size, func() {
+		shift(nd, -m.Work)
+		a.executed[rank]++
+	})
+}
+
+// TryStart takes one of the rank's decisions. Cancellation stops new
+// decisions; shares already sent still drain, so the shared view stays
+// conserved.
+func (a *synthetic) TryStart(rank int) bool {
+	if a.quota[rank] == 0 {
+		return false
+	}
+	select {
+	case <-a.j.cancel:
+		a.quota[rank] = 0
+		return false
+	default:
+	}
+	dec, latency, err := a.s.decide(a.j, rank)
+	if err != nil {
+		a.err, a.quota[rank] = err, 0
+		return false
+	}
+	a.quota[rank]--
+	a.cnt.AddDecision(latency)
+	for _, as := range dec.Assignments {
+		a.host.SendData(rank, int(as.Proc), workload.DataMsg{
+			Kind: jobKindWork,
+			Work: as.Delta[core.Workload],
+			Size: a.j.spec.Spin,
+		})
+	}
+	return true
+}
+
+func (a *synthetic) Blocked(int) bool { return false }
+
+func (a *synthetic) Done() bool {
+	for _, q := range a.quota {
+		if q > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+func (a *synthetic) Outcome(*workload.AppReport) workload.AppOutcome {
+	return workload.AppOutcome{Executed: a.executed, Counters: a.cnt, Err: a.err}
+}
 
 // decide takes one dynamic decision for the job on rank's node: acquire
-// a coherent view of the SHARED mesh exchanger, plan, commit. The
-// decision latency and count are charged to the job's counters, not the
-// mesh's (the mesh only sees the state traffic the acquisition cost).
-// Decisions on one node must not overlap (a mechanism contract), so
-// concurrent jobs with masters on the same rank serialize here — that
-// queueing delay is part of the sharing cost the latency metric
-// measures.
-func (s *Server) decide(j *job, rank int, jp *xnet.JobPort) (core.Decision, error) {
+// a coherent view of the SHARED mesh exchanger, plan, commit. It
+// returns the decision and its acquire latency, which the job charges
+// to its own counters, not the mesh's (the mesh only sees the state
+// traffic the acquisition cost). Decisions on one node must not overlap
+// (a mechanism contract), so concurrent jobs with masters on the same
+// rank serialize here — that queueing delay is part of the sharing cost
+// the latency metric measures.
+func (s *Server) decide(j *job, rank int) (core.Decision, float64, error) {
 	s.decMu[rank].Lock()
 	defer s.decMu[rank].Unlock()
-	nd := s.nodes[rank]
 	sp := j.spec
 	var dec core.Decision
+	var latency float64
 	done := make(chan struct{})
-	nd.Invoke(func(ctx core.Context, exch core.Exchanger) {
+	s.nodes[rank].Invoke(func(ctx core.Context, exch core.Exchanger) {
 		acquireAt := time.Now()
 		exch.Acquire(ctx, func() {
-			jp.AddDecision(time.Since(acquireAt).Seconds())
+			latency = time.Since(acquireAt).Seconds()
 			dec = core.PlanDecision(exch.View(), rank, sp.Slaves, sp.Work)
 			exch.Commit(ctx, dec.Assignments)
 			close(done)
@@ -212,27 +195,17 @@ func (s *Server) decide(j *job, rank int, jp *xnet.JobPort) (core.Decision, erro
 	})
 	select {
 	case <-done:
-	case <-jp.Quit():
-		return dec, fmt.Errorf("service: mesh closed during job %d decision", j.id)
+	case <-s.quit:
+		return dec, 0, fmt.Errorf("service: mesh closed during job %d decision", j.id)
 	}
-	return dec, nil
+	return dec, latency, nil
 }
 
-// executeShare runs one received work share: the load lands on the
-// SHARED view (asSlave — concurrent jobs observe it), the spin burns
-// wall clock off the node goroutine, then the load is removed.
-func (s *Server) executeShare(nd *xnet.Node, m workload.DataMsg) {
+// shift moves work onto (or, negative, off) the node's entry of the
+// shared view, as slave work.
+func shift(nd *xnet.Node, work float64) {
 	var delta core.Load
-	delta[core.Workload] = m.Work
-	nd.Invoke(func(ctx core.Context, exch core.Exchanger) {
-		exch.LocalChange(ctx, delta, true)
-	})
-	if spin := time.Duration(m.Size * float64(time.Second)); spin > 0 {
-		time.Sleep(spin)
-	}
-	for i := range delta {
-		delta[i] = -delta[i]
-	}
+	delta[core.Workload] = work
 	nd.Invoke(func(ctx core.Context, exch core.Exchanger) {
 		exch.LocalChange(ctx, delta, true)
 	})

@@ -15,11 +15,14 @@
 //     into it through LocalChange — concurrent jobs genuinely observe
 //     each other's load, which is the measurement the one-shot harness
 //     cannot express.
-//   - Everything job-scoped is isolated per job: each admitted job gets
-//     its own termdet.Protocol instance per rank, its own core.Counters
-//     and its own data/ctrl (and, for hosted applications, state)
-//     streams as job-id-tagged frames multiplexed over the existing
-//     per-peer connections (net.JobPort).
+//   - Everything job-scoped is isolated per job. Both job kinds are
+//     workload.Apps — the synthetic master/slave program (job.go) or a
+//     registered application scenario — hosted by net.RunJob on the
+//     same per-rank port loop the one-shot runtimes use, so each
+//     admitted job gets its own termdet.Protocol instance per rank, its
+//     own core.Counters and its own data/ctrl (and, for hosted
+//     applications, state) streams as job-id-tagged frames multiplexed
+//     over the existing per-peer connections.
 //
 // Admission is a bounded queue drained by a scheduler goroutine up to a
 // concurrency cap; a graceful drain (SIGTERM in `loadex serve`) stops
@@ -29,7 +32,6 @@ package service
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -62,9 +64,6 @@ type Config struct {
 	// QueueCap bounds the admission queue (default 64); Submit fails
 	// once it is full.
 	QueueCap int
-	// TimeScale is the wall-clock duration of one application second of
-	// hosted-app compute (default 1).
-	TimeScale float64
 	// Rec, when non-nil, receives job lifecycle spans (job.queued from
 	// admission to start, job.run from start to terminal state) in the
 	// chaos trace schema.
@@ -83,9 +82,6 @@ func (c *Config) normalize() error {
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 64
-	}
-	if c.TimeScale <= 0 {
-		c.TimeScale = 1
 	}
 	return nil
 }
@@ -194,8 +190,7 @@ type Metrics struct {
 
 	// JobsPerSec is completed jobs over uptime.
 	JobsPerSec float64 `json:"jobs_per_sec"`
-	// MakespanP50/P99 are percentiles over finished jobs' makespans,
-	// seconds.
+	// MakespanP50/P99 are the Makespan digest's percentiles, seconds.
 	MakespanP50 float64 `json:"makespan_p50_s"`
 	MakespanP99 float64 `json:"makespan_p99_s"`
 
@@ -228,7 +223,7 @@ type job struct {
 	counters core.Counters
 
 	// cancel is closed by Cancel; synthetic masters stop issuing
-	// decisions at the next check, app jobs fail their run.
+	// decisions at the next check.
 	cancel     chan struct{}
 	cancelOnce sync.Once
 	// doneCh closes when the job reaches a terminal state.
@@ -263,7 +258,6 @@ type Server struct {
 	idleOnce sync.Once
 
 	admitted, completed, failed, canceled int64
-	makespans                             []float64
 	jobCounters                           core.Counters
 
 	// reg is the server's observability registry: the mesh nodes'
@@ -453,15 +447,7 @@ func (s *Server) schedule() {
 // runJob executes one admitted job to a terminal state.
 func (s *Server) runJob(j *job) {
 	defer s.wg.Done()
-	var err error
-	switch j.spec.Kind {
-	case "synthetic":
-		err = s.runSynthetic(j)
-	case "app":
-		err = s.runApp(j)
-	default:
-		err = fmt.Errorf("service: unknown job kind %q", j.spec.Kind)
-	}
+	err := s.execute(j)
 	s.mu.Lock()
 	j.finished = time.Now()
 	canceled := false
@@ -480,9 +466,7 @@ func (s *Server) runJob(j *job) {
 	default:
 		j.state = StateDone
 		s.completed++
-		makespan := j.finished.Sub(j.started).Seconds()
-		s.makespans = append(s.makespans, makespan)
-		s.makespanH.Observe(makespan)
+		s.makespanH.Observe(j.finished.Sub(j.started).Seconds())
 	}
 	if rec := s.cfg.Rec; rec != nil && j.runSid != 0 {
 		rec.SpanEnd(0, "job.run", j.runSid, s.sinceStart())
@@ -611,13 +595,8 @@ func (s *Server) Metrics() Metrics {
 	if m.Uptime > 0 {
 		m.JobsPerSec = float64(s.completed) / m.Uptime
 	}
-	if len(s.makespans) > 0 {
-		sorted := append([]float64(nil), s.makespans...)
-		sort.Float64s(sorted)
-		m.MakespanP50 = stats.Percentile(sorted, 0.50)
-		m.MakespanP99 = stats.Percentile(sorted, 0.99)
-	}
 	m.Makespan = s.makespanH.Snapshot().Summary()
+	m.MakespanP50, m.MakespanP99 = m.Makespan.P50, m.Makespan.P99
 	m.QueueWait = s.queueWaitH.Snapshot().Summary()
 	return m
 }

@@ -222,3 +222,27 @@ func TestQueueBackpressure(t *testing.T) {
 		t.Errorf("only %d of 8 submissions admitted, want at least the queue capacity", admitted)
 	}
 }
+
+// TestAppJobSnapshotBusyTime hosts the solver under the snapshot
+// mechanism: its ranks spend time blocked in snapshots, and the job's
+// port loops meter that time into the job's counters.
+func TestAppJobSnapshotBusyTime(t *testing.T) {
+	s := newTestServer(t, core.MechSnapshot, 4)
+	id, err := s.Submit(JobSpec{Kind: "app", Scenario: "solver-wl"})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	st, err := s.Result(id, time.Minute)
+	if err != nil {
+		t.Fatalf("result: %v", err)
+	}
+	if st.State != StateDone {
+		t.Fatalf("state %s (err %q), want done", st.State, st.Err)
+	}
+	if st.Counters.SnapshotRounds == 0 {
+		t.Fatalf("solver job under snapshot opened no snapshot rounds")
+	}
+	if st.Counters.BusyTime <= 0 {
+		t.Errorf("busy time %v after %d snapshot rounds, want > 0", st.Counters.BusyTime, st.Counters.SnapshotRounds)
+	}
+}
